@@ -18,7 +18,7 @@ from repro.navigation.advisory import advisory_trial
 
 def test_advisory_on_identified_schedules(benchmark, small_city, small_city_data):
     _, partitions = small_city_data
-    estimates, _ = identify_many(partitions, 7200.0, serial=False)
+    estimates, _ = identify_many(partitions, 7200.0)
 
     rng = np.random.default_rng(17)
     rows = {"cruise (blind)": [], "advisory (identified)": [], "advisory (oracle)": []}

@@ -5,8 +5,8 @@ partition cannot sink the run — at city scale, sparse or corrupt
 per-light inputs are the common case, not the exception.  This bench
 poisons ~10% of the Table II city's partitions (corrupt parallel
 arrays, the kind of garbage a broken map-matching export produces),
-runs ``identify_many`` under the real process pool, and prints the
-failure taxonomy and stage wall-time breakdown from the
+runs ``identify_many`` on the shard backend's real process pool, and
+prints the failure taxonomy and stage wall-time breakdown from the
 :class:`~repro.obs.report.RunReport`.
 
 Asserted contract (the acceptance criterion of the containment issue):
@@ -55,7 +55,7 @@ def test_fault_containment_citywide(shenzhen_data, tmp_path):
         city[k] = poison(city[k])
 
     report = RunReport()
-    ests, fails = identify_many(city, at_time, report=report)
+    ests, fails = identify_many(city, at_time, max_workers=2, report=report)
 
     banner(
         f"Fault containment: {len(keys)} lights, {len(bad)} poisoned "

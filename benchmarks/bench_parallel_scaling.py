@@ -5,14 +5,16 @@ traffic light scheduling identification algorithm for different traffic
 lights can be easily paralleled" — this being ICPP, that claim deserves
 a measurement.  Two fan-outs are exercised:
 
-* per-light identification (`identify_many`), and
+* citywide identification (`identify_many`), serial against the
+  ``shard`` backend (the batched kernels sharded over a process pool),
+  and
 * the fused simulate+sample path (`simulate_and_partition(fused=True)`),
   which keeps the heavyweight 1 Hz tracks inside the workers so only
   ~20x smaller sampled traces cross the process boundary.
 
 What is *asserted* is the part that must hold everywhere: parallel
-results are identical to serial ones at any worker count (per-task
-seeded RNG streams).  Pool speedup itself is hardware-dependent — on a
+results are identical to serial ones at any worker count (bit-for-bit
+shard kernels, per-task seeded RNG streams).  Pool speedup itself is hardware-dependent — on a
 single-core host (like some CI sandboxes) process fan-out can only add
 overhead, and the bench reports rather than asserts it.
 
@@ -26,7 +28,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from conftest import banner
 from repro.core import identify_many
@@ -43,29 +44,26 @@ def test_parallel_determinism_and_scaling(benchmark, shenzhen, shenzhen_data):
     times = [10800.0, 12600.0, 14400.0]
     cores = os.cpu_count() or 1
 
-    def run_identify(workers, serial=False):
+    def run_identify(backend, workers=None):
         t0 = time.perf_counter()
         out = {}
         for at in times:
             ests, _ = identify_many(
-                partitions, at, serial=serial, max_workers=workers
+                partitions, at, backend=backend, max_workers=workers
             )
             out[at] = {k: (e.cycle_s, e.red_s, e.schedule.offset_s)
                        for k, e in ests.items()}
         return time.perf_counter() - t0, out
 
     banner(f"Parallel scaling (host has {cores} core(s))")
-    t_serial, ref = run_identify(None, serial=True)
+    t_serial, ref = run_identify("serial")
     print(f"  identify, serial     {t_serial:6.2f} s   1.00x")
     speedups = []
     for workers in (2, 4):
-        t_par, out = run_identify(workers)
-        for at in times:
-            assert set(out[at]) == set(ref[at]), "parallel must match serial"
-            for k in ref[at]:
-                assert out[at][k] == pytest.approx(ref[at][k])
+        t_par, out = run_identify("shard", workers)
+        assert out == ref, "shard must match serial bit-for-bit"
         speedups.append(t_serial / t_par)
-        print(f"  identify, {workers} workers {t_par:6.2f} s   {t_serial / t_par:4.2f}x")
+        print(f"  identify, shard @{workers}w {t_par:6.2f} s   {t_serial / t_par:4.2f}x")
 
     # fused simulate+sample: determinism across worker counts
     scn = shenzhen_scenario()
@@ -91,7 +89,7 @@ def test_parallel_determinism_and_scaling(benchmark, shenzhen, shenzhen_data):
     else:
         print("  (single-core host: speedup not expected; determinism is the contract)")
 
-    benchmark.pedantic(run_identify, args=(2,), rounds=1, iterations=1)
+    benchmark.pedantic(run_identify, args=("shard", 2), rounds=1, iterations=1)
 
 
 def _city64():
@@ -116,7 +114,7 @@ def _city64():
 
 
 def test_batched_backend_speedup(benchmark):
-    """Batched kernels vs the per-light backends on 64 lights x 10 spots.
+    """Batched kernels vs the serial and shard backends on 64 lights x 10 spots.
 
     The batched backend's win is algorithmic (one FFT, one vectorized
     fold-and-scan, one moving-average pass for the whole city), so
@@ -128,11 +126,12 @@ def test_batched_backend_speedup(benchmark):
     times = [3600.0 + 180.0 * i for i in range(10)]
 
     def sweep_serial():
-        return {at: identify_many(partitions, at, serial=True) for at in times}
+        return {at: identify_many(partitions, at, backend="serial") for at in times}
 
-    def sweep_pool():
+    def sweep_shard():
         return {
-            at: identify_many(partitions, at, max_workers=4) for at in times
+            at: identify_many(partitions, at, backend="shard", max_workers=4)
+            for at in times
         }
 
     def sweep_batched():
@@ -147,14 +146,14 @@ def test_batched_backend_speedup(benchmark):
     ref = sweep_serial()
     t_serial = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sweep_pool()
-    t_pool = time.perf_counter() - t0
+    sweep_shard()
+    t_shard = time.perf_counter() - t0
     t0 = time.perf_counter()
     out = sweep_batched()
     t_batched = time.perf_counter() - t0
 
     print(f"  serial   {t_serial:6.2f} s   1.00x")
-    print(f"  pool @4w {t_pool:6.2f} s   {t_serial / t_pool:4.2f}x")
+    print(f"  shard @4w {t_shard:6.2f} s   {t_serial / t_shard:4.2f}x")
     print(f"  batched  {t_batched:6.2f} s   {t_serial / t_batched:4.2f}x")
 
     for at in times:

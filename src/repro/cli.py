@@ -36,6 +36,7 @@ Example session::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -44,8 +45,20 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
+def _output_path(path: str) -> str:
+    """argparse ``type=`` for output files and prefixes: the directory
+    must already exist, so a typo exits with status 2 before the run
+    instead of a traceback after it."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"directory {parent!r} does not exist")
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
+    from .core.pipeline import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Traffic-light scheduling identification from taxi traces "
@@ -57,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenario", choices=("small", "shenzhen"), default="small")
     sim.add_argument("--hours", type=float, default=1.5, help="simulated duration")
     sim.add_argument("--seed", type=int, default=7)
-    sim.add_argument("--out", required=True,
+    sim.add_argument("--out", required=True, type=_output_path,
                      help="output prefix; writes <out>.trace.txt and <out>.net.json")
 
     st = sub.add_parser("stats", help="Fig. 2 statistics of a trace file")
@@ -70,13 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="identification time (simulation seconds)")
     ident.add_argument("--window", type=float, default=1800.0,
                        help="analysis window length, seconds")
-    ident.add_argument("--serial", action="store_true",
-                       help="disable the process pool")
-    ident.add_argument("--backend",
-                       choices=("serial", "process", "batched", "stream",
-                                "shard"),
-                       default=None,
-                       help="execution backend (overrides --serial); "
+    ident.add_argument("--backend", choices=BACKENDS, default=None,
+                       help="execution backend (default: 'shard' when "
+                            "--workers > 1, else 'batched'); 'serial' is "
+                            "the per-light reference loop, "
                             "'batched' runs the whole city through shared "
                             "vectorized kernels, 'stream' goes through the "
                             "incremental subsystem (one-shot here; see "
@@ -84,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "fans the batched kernels out over a process "
                             "pool via a zero-copy mmap-backed column store")
     ident.add_argument("--workers", type=int, default=None,
-                       help="worker processes for the pooled backends "
+                       help="worker processes for the shard backend "
                             "(default: available CPUs, capped at 8)")
-    ident.add_argument("--report", metavar="PATH", default=None,
+    ident.add_argument("--report", metavar="PATH", default=None, type=_output_path,
                        help="write the RunReport JSON (stage wall times, "
                             "counters, failure taxonomy) to PATH")
 
@@ -95,15 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="prefix written by `repro simulate` (plans required)")
     ev.add_argument("--times", type=float, nargs="+", required=True,
                     help="identification time spots (simulation seconds)")
-    ev.add_argument("--serial", action="store_true")
-    ev.add_argument("--backend",
-                    choices=("serial", "process", "batched", "stream",
-                             "shard"),
-                    default=None,
-                    help="execution backend (overrides --serial)")
+    ev.add_argument("--backend", choices=BACKENDS, default=None,
+                    help="execution backend (default: 'shard' when "
+                         "--workers > 1, else 'batched')")
     ev.add_argument("--workers", type=int, default=None,
-                    help="worker processes for the pooled backends")
-    ev.add_argument("--report", metavar="PATH", default=None,
+                    help="worker processes for the shard backend")
+    ev.add_argument("--report", metavar="PATH", default=None, type=_output_path,
                     help="write the RunReport JSON aggregated over all "
                          "time spots to PATH")
 
@@ -130,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "zero-copy sharded process fan-out")
     strm.add_argument("--workers", type=int, default=None,
                       help="worker processes for the shard backend")
-    strm.add_argument("--report", metavar="PATH", default=None,
+    strm.add_argument("--report", metavar="PATH", default=None, type=_output_path,
                       help="write the RunReport JSON (incl. per-chunk "
                            "ingest stats) to PATH")
 
@@ -153,9 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="advisory-read p50 SLO, milliseconds")
     srv.add_argument("--p99-slo-ms", type=float, default=50.0,
                      help="advisory-read p99 SLO, milliseconds")
-    srv.add_argument("--json", metavar="PATH", default=None,
+    srv.add_argument("--json", metavar="PATH", default=None, type=_output_path,
                      help="write the measured numbers as JSON to PATH")
-    srv.add_argument("--report", metavar="PATH", default=None,
+    srv.add_argument("--report", metavar="PATH", default=None, type=_output_path,
                      help="write the RunReport JSON (one ServiceStats "
                           "per tenant) to PATH")
 
@@ -173,10 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--horizon", type=float, default=9000.0,
                     help="trace horizon, seconds")
     fr.add_argument("--seed", type=int, default=0)
-    fr.add_argument("--backends", nargs="+", default=None,
-                    choices=("serial", "process", "batched", "stream", "shard"),
+    fr.add_argument("--backends", nargs="+", default=None, choices=BACKENDS,
                     help="identification backends to cross-check bit-for-bit")
-    fr.add_argument("--json", metavar="PATH", default=None,
+    fr.add_argument("--json", metavar="PATH", default=None, type=_output_path,
                     help="write the frontier curve as JSON to PATH")
 
     nav = sub.add_parser("navigate", help="Fig. 16 navigation comparison")
@@ -252,7 +258,7 @@ def _cmd_identify(args) -> int:
     config = PipelineConfig(window_s=args.window)
     report = RunReport() if args.report else None
     estimates, failures = identify_many(
-        partitions, args.at, config=config, serial=args.serial,
+        partitions, args.at, config=config,
         backend=args.backend, max_workers=args.workers, report=report,
     )
 
@@ -306,7 +312,7 @@ def _cmd_evaluate(args) -> int:
 
     report = RunReport() if args.report else None
     result = evaluate_at_times(
-        partitions, truth_fn, args.times, serial=args.serial,
+        partitions, truth_fn, args.times,
         backend=args.backend, max_workers=args.workers, report=report,
     )
     print(f"samples: {len(result)}  (data-starved: {result.n_failures})")

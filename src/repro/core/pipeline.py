@@ -8,8 +8,11 @@ Chains the paper's stages for one traffic light at one point in time:
     sliding-window change point (§VI.B/C) ─→ a fitted absolute-time
     LightSchedule.
 
-``identify_many`` fans the per-light work out over a process pool —
-the parallelism the paper gets for free from per-light partitioning.
+``identify_many`` runs that flow for every light of a city on one of
+four backends: the per-light ``serial`` reference loop, or the
+whole-city ``batched`` kernels (in-process, through the incremental
+``stream`` subsystem, or sharded across a process pool by ``shard`` —
+the parallelism the paper gets for free from per-light partitioning).
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .._util import check_positive
 from ..lights.schedule import LightSchedule
 from ..matching.partition import LightKey, LightPartition, partner_of
 from ..obs import LightFailure, RunReport, StageTelemetry
-from ..parallel.pool import WorkerError, get_common, pmap
 from ..trace.store import PartitionStore
 from .changepoint import find_signal_change
 from .cycle import CycleConfig, identify_cycle_from_samples
@@ -42,7 +44,7 @@ __all__ = [
 ]
 
 #: Execution backends accepted by :func:`identify_many`.
-BACKENDS = ("serial", "process", "batched", "stream", "shard")
+BACKENDS = ("serial", "batched", "stream", "shard")
 
 #: Floor for the red-duration estimate: one ``cycle_profile`` bin
 #: (``bin_s=1.0``).  The border-interval estimator can return ~0 on
@@ -299,10 +301,11 @@ def identify_light(
 def _identify_one(
     args: Tuple[LightPartition, Optional[LightPartition], float, "PipelineConfig"],
 ) -> Tuple[LightKey, Optional[ScheduleEstimate], Optional[LightFailure], StageTelemetry]:
-    """Worker: identify one light, containing *every* per-light failure.
+    """Identify one light, containing *every* per-light failure.
 
-    A citywide fan-out must never let one poisoned partition abort the
-    pool: any exception — not just the expected
+    The serial backend's loop and the batched backend's per-light
+    fallback both call this: one poisoned partition must never abort a
+    citywide run, so any exception — not just the expected
     :class:`InsufficientDataError` — becomes a typed
     :class:`~repro.obs.report.LightFailure` carrying the exception
     class, the pipeline stage that raised, and the message.  The
@@ -320,28 +323,9 @@ def _identify_one(
         return partition.key, None, LightFailure.from_exception(exc, tel.last_stage), tel
 
 
-def _identify_one_stored(
-    args: Tuple[LightKey, Optional[LightKey], float, "PipelineConfig"],
-) -> Tuple[LightKey, Optional[ScheduleEstimate], Optional[LightFailure], StageTelemetry]:
-    """Worker for the store-backed process backend.
-
-    The job carries only ``(key, perp_key, at_time, config)``; the
-    partitions come out of the :class:`~repro.trace.store.PartitionStore`
-    the pool shipped once per worker via ``pmap(..., common=store)``.
-    """
-    key, perp_key, at_time, config = args
-    store = get_common()
-    perp = (
-        store.partition(perp_key)
-        if perp_key is not None and perp_key in store
-        else None
-    )
-    return _identify_one((store.partition(key), perp, at_time, config))
-
-
-def _resolve_backend(backend: Optional[str], serial: bool) -> str:
+def _resolve_backend(backend: Optional[str], max_workers: Optional[int]) -> str:
     if backend is None:
-        return "serial" if serial else "process"
+        return "shard" if max_workers is not None and max_workers > 1 else "batched"
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     return backend
@@ -353,12 +337,11 @@ def identify_many(
     *,
     config: Optional[PipelineConfig] = None,
     max_workers: Optional[int] = None,
-    serial: bool = False,
     report: Optional[RunReport] = None,
     backend: Optional[str] = None,
     store: Optional[PartitionStore] = None,
 ) -> Tuple[Dict[LightKey, ScheduleEstimate], Dict[LightKey, LightFailure]]:
-    """Identify every partitioned light at ``at_time`` in parallel.
+    """Identify every partitioned light at ``at_time``.
 
     Returns ``(estimates, failures)``.  Every light that produced no
     estimate — from an expectedly sparse window up to a genuinely
@@ -366,29 +349,27 @@ def identify_many(
     :class:`~repro.obs.report.LightFailure` (exception class + pipeline
     stage + message); one bad partition never aborts the others.
 
-    ``backend`` selects the execution strategy (default: ``"serial"``
-    when ``serial=True``, else ``"process"``):
+    ``backend`` selects the execution strategy; all four return the
+    same estimates and failures bit-for-bit:
 
-    * ``"serial"`` — the in-process reference path;
-    * ``"process"`` — per-light fan-out over a process pool; with a
-      ``store`` (or a :class:`~repro.trace.store.PartitionStore` as
-      ``partitions``) the store ships once per worker instead of one
-      partition pickle per job;
+    * ``"serial"`` — the in-process per-light reference loop;
     * ``"batched"`` — :func:`repro.core.batch.identify_batch`: the
       whole city runs through shared vectorized kernels (one FFT, one
-      fold-and-scan, one moving-average pass), bit-for-bit equal to the
-      serial backend, with per-light serial fallback on any failure;
+      fold-and-scan, one moving-average pass), with per-light serial
+      fallback on any failure;
     * ``"stream"`` — a one-shot :class:`repro.stream.StreamSession`
-      (ingest everything as a single chunk, then evaluate).  Matches
-      the batched backend bit-for-bit; its point is the incremental
-      API — hold a session yourself to feed chunks and re-evaluate
-      only dirty lights;
+      (ingest everything as a single chunk, then evaluate).  Its point
+      is the incremental API — hold a session yourself to feed chunks
+      and re-evaluate only dirty lights;
     * ``"shard"`` — :func:`repro.core.shard.identify_shard`: the
       batched kernels sharded by light partition across a process
-      pool, with the column store spilled to mmap-backed files so each
-      worker receives only a metadata handle (zero column bytes
-      pickled).  Bit-for-bit equal to ``"batched"``; the scaling
-      backend for large cities on multi-core hosts.
+      pool of ``max_workers``, with the column store spilled to
+      mmap-backed files so each worker receives only a metadata handle
+      (zero column bytes pickled); the scaling backend for large
+      cities on multi-core hosts.
+
+    Without a ``backend`` the call runs ``"shard"`` when
+    ``max_workers > 1`` and ``"batched"`` otherwise.
 
     ``partitions`` may be a plain dict or a ``PartitionStore``; passing
     the same store across repeated calls (one per time spot) reuses its
@@ -406,11 +387,11 @@ def identify_many(
         with report.run_timer():
             return _identify_many_run(
                 partitions, at_time, config=config, max_workers=max_workers,
-                serial=serial, report=report, backend=backend, store=store,
+                report=report, backend=backend, store=store,
             )
     return _identify_many_run(
         partitions, at_time, config=config, max_workers=max_workers,
-        serial=serial, report=report, backend=backend, store=store,
+        report=report, backend=backend, store=store,
     )
 
 
@@ -420,24 +401,21 @@ def _identify_many_run(
     *,
     config: Optional[PipelineConfig],
     max_workers: Optional[int],
-    serial: bool,
     report: Optional[RunReport],
     backend: Optional[str],
     store: Optional[PartitionStore],
 ) -> Tuple[Dict[LightKey, ScheduleEstimate], Dict[LightKey, LightFailure]]:
-    """The fan-out body of :func:`identify_many` (timing handled there)."""
+    """The dispatch body of :func:`identify_many` (timing handled there)."""
     config = PipelineConfig() if config is None else config
-    chosen = _resolve_backend(backend, serial)
+    chosen = _resolve_backend(backend, max_workers)
+    source = store if store is not None else partitions
 
     if chosen == "batched":
         from .batch import identify_batch
 
-        src = store if store is not None else partitions
-        src = PartitionStore.from_partitions(src)
-        estimates, failures = {}, {}
-        b_est, b_fail, tels = identify_batch(src, at_time, config=config)
-        estimates.update(b_est)
-        failures.update(b_fail)
+        estimates, failures, tels = identify_batch(
+            PartitionStore.from_partitions(source), at_time, config=config
+        )
         if report is not None:
             for key in sorted(tels):
                 report.record_light(key, tels[key], failures.get(key))
@@ -446,16 +424,15 @@ def _identify_many_run(
     if chosen == "shard":
         from .shard import identify_shard
 
-        src = store if store is not None else partitions
-        s_est, s_fail, tels, shard_stats = identify_shard(
-            src, at_time, config=config, max_workers=max_workers
+        estimates, failures, tels, shard_stats = identify_shard(
+            source, at_time, config=config, max_workers=max_workers
         )
         if report is not None:
             for key in sorted(tels):
-                report.record_light(key, tels[key], s_fail.get(key))
+                report.record_light(key, tels[key], failures.get(key))
             for stats in shard_stats:
                 report.record_shard(stats)
-        return s_est, s_fail
+        return estimates, failures
 
     if chosen == "stream":
         # One-shot seam over the incremental subsystem: everything
@@ -463,58 +440,22 @@ def _identify_many_run(
         # telemetry (per-light and per-chunk) folds into `report`.
         from ..stream.session import StreamSession
 
-        src = store if store is not None else partitions
         session = StreamSession(config=config, report=report, monitor=False)
         session.ingest(
-            {key: src[key] for key in sorted(src)}, refresh=False
+            {key: source[key] for key in sorted(source)}, refresh=False
         )
         return session.evaluate(at_time)
 
-    shared = store
-    if shared is None and isinstance(partitions, PartitionStore):
-        shared = partitions
-    source = shared if shared is not None else partitions
-
-    if shared is not None and chosen == "process":
-        keys = sorted(shared)
-        jobs_stored = []
-        for key in keys:
-            perp_key = partner_of(key)
-            jobs_stored.append(
-                (key, perp_key if perp_key in shared else None, at_time, config)
-            )
-        results = pmap(
-            _identify_one_stored, jobs_stored, max_workers=max_workers,
-            on_error="return", common=shared,
+    estimates = {}
+    failures = {}
+    for key in sorted(source):
+        light, est, failure, tel = _identify_one(
+            (source[key], source.get(partner_of(key)), at_time, config)
         )
-    else:
-        jobs = []
-        for key in sorted(source):
-            perp = source.get(partner_of(key))
-            jobs.append((source[key], perp, at_time, config))
-        keys = [job[0].key for job in jobs]
-        results = pmap(
-            _identify_one, jobs, max_workers=max_workers,
-            serial=chosen == "serial", on_error="return",
-        )
-    estimates: Dict[LightKey, ScheduleEstimate] = {}
-    failures: Dict[LightKey, LightFailure] = {}
-    for key, res in zip(keys, results):
-        if isinstance(res, WorkerError):
-            # Even the containment wrapper died (e.g. the result failed
-            # to pickle); attribute it to the worker boundary.
-            failure = LightFailure(
-                error_type=res.error_type, stage="worker", message=res.message
-            )
-            failures[key] = failure
-            if report is not None:
-                report.record_light(key, None, failure)
-            continue
-        _key, est, failure, tel = res
         if est is not None:
-            estimates[key] = est
+            estimates[light] = est
         else:
-            failures[key] = failure
+            failures[light] = failure
         if report is not None:
-            report.record_light(key, tel, failure)
+            report.record_light(light, tel, failure)
     return estimates, failures

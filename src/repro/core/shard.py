@@ -1,12 +1,12 @@
 """Zero-copy sharded identification over the spilled column store.
 
 :func:`repro.core.batch.identify_batch` already runs the whole city
-through shared vectorized kernels; what kept multi-process execution
-from scaling was the boundary cost — the process backend pickles the
-full column store into every worker, so wall-clock stays core-count
-independent.  This module shards the batched backend by light partition
-and moves the columns across the boundary through the filesystem page
-cache instead of pickles:
+through shared vectorized kernels; what keeps multi-process execution
+from scaling is the boundary cost — pickling the full column store
+into every worker keeps wall-clock core-count independent.  This
+module shards the batched backend by light partition and moves the
+columns across the boundary through the filesystem page cache instead
+of pickles:
 
 1. the store spills its columns once to mmap-able ``.npy`` files
    (:meth:`~repro.trace.store.PartitionStore.spilled`, built on the

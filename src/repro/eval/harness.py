@@ -175,17 +175,15 @@ def evaluate_at_times(
     *,
     config: Optional[PipelineConfig] = None,
     max_workers: Optional[int] = None,
-    serial: bool = False,
     backend: Optional[str] = None,
     report: Optional[RunReport] = None,
 ) -> EvalResult:
     """Identify every light at every time spot and score it.
 
-    Per-light identification already fans out inside
-    :func:`repro.core.pipeline.identify_many` (``backend`` selects
-    serial, process-pool, batched, or stream execution); time spots run
-    serially so the per-run column store / process pool is reused
-    efficiently.  The partitions are packed into a
+    Each spot is one :func:`repro.core.pipeline.identify_many` call;
+    ``backend`` and ``max_workers`` pass through to it, so the default
+    is ``"batched"``, or ``"shard"`` when ``max_workers > 1``.  Time
+    spots run one after another.  The partitions are packed into a
     :class:`~repro.trace.store.PartitionStore` **once** and shared
     across every time spot — repeated spots reuse cached per-light
     grids and stop events instead of re-deriving them per call.
@@ -200,7 +198,7 @@ def evaluate_at_times(
     for at_time in times:
         estimates, failures = identify_many(
             partitions, float(at_time),
-            config=config, max_workers=max_workers, serial=serial,
+            config=config, max_workers=max_workers,
             backend=backend, store=store, report=report,
         )
         for key in sorted(partitions):

@@ -1,11 +1,10 @@
 """Run-scoped column store of partitioned records.
 
-``identify_many`` historically re-pickled every :class:`LightPartition`
-into the process pool on every call — for ``evaluate_at_times`` that is
-once per light per time spot.  A :class:`PartitionStore` flattens all
-partitions into one set of contiguous columns (CSR-style: per-light row
-ranges over shared arrays) built **once per run**, and layers the
-caches the identification pipeline re-derives per call on top of it:
+A :class:`PartitionStore` flattens all partitions into one set of
+contiguous columns (CSR-style: per-light row ranges over shared arrays)
+built **once per run** — ``evaluate_at_times`` packs it once and reuses
+it at every time spot — and layers the caches the identification
+pipeline re-derives per call on top of it:
 
 * ``window_samples`` — ``(t, speed)`` extraction near the stop line,
   O(log n) via ``searchsorted`` on the time-sorted rows instead of a
@@ -17,11 +16,10 @@ caches the identification pipeline re-derives per call on top of it:
 * ``cache`` — an open memo dictionary the batched backend uses for
   regularized grids and other per-(light, window) intermediates.
 
-The store also travels cheaply across process boundaries: pickling
-ships the columns once per worker (via ``pmap(..., common=...)``), and
-with ``mmap_dir`` set the columns are spilled to ``.npy`` files so
-workers re-open them memory-mapped and the pickle payload shrinks to
-the file paths.
+The store also travels cheaply across process boundaries: the shard
+backend ships it once per worker (via ``pmap(..., common=...)``) after
+spilling the columns to ``.npy`` files, so workers re-open them
+memory-mapped and the pickle payload shrinks to the file paths.
 
 Extraction semantics are bit-identical to the per-partition code paths
 (the parity suite ``tests/test_batch_parity.py`` holds them together).

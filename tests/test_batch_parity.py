@@ -1,4 +1,4 @@
-"""Backend parity: serial, process-pool, and batched identification.
+"""Backend parity: serial (the oracle), batched and shard identification.
 
 The batched backend (``repro.core.batch``) re-implements the per-light
 pipeline as whole-city array kernels.  Its contract is not "close": the
@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import PipelineConfig, identify_many
 from repro.matching.partition import LightPartition
+from repro.obs import RunReport
 from repro.trace.store import PartitionStore
 
 from tests.test_faults import synth_partition
@@ -62,10 +63,14 @@ def _poisoned_city(partitions):
 
 class TestBackendParity:
     def test_batched_matches_serial_bitwise(self, partitions):
-        ref = identify_many(partitions, 5400.0, serial=True)
+        ref = identify_many(partitions, 5400.0, backend="serial")
         out = identify_many(partitions, 5400.0, backend="batched")
         assert len(ref[0]) > 0, "fixture city must identify some lights"
         _assert_parity(ref, out, "batched")
+        # no backend named and no pool asked for: the batched kernels
+        report = RunReport()
+        _assert_parity(ref, identify_many(partitions, 5400.0, report=report), "default")
+        assert report.shards == []
 
     def test_batched_accepts_store_or_dict(self, partitions):
         store = PartitionStore.from_partitions(partitions)
@@ -73,21 +78,8 @@ class TestBackendParity:
         from_store = identify_many(store, 5400.0, backend="batched")
         _assert_parity(from_dict, from_store, "store-backed batched")
 
-    @pytest.mark.slow
-    def test_process_matches_serial(self, partitions):
-        ref = identify_many(partitions, 5400.0, serial=True)
-        out = identify_many(partitions, 5400.0, backend="process", max_workers=2)
-        _assert_parity(ref, out, "process")
-
-    @pytest.mark.slow
-    def test_process_with_shared_store_matches_serial(self, partitions):
-        store = PartitionStore.from_partitions(partitions)
-        ref = identify_many(partitions, 5400.0, serial=True)
-        out = identify_many(store, 5400.0, backend="process", max_workers=2)
-        _assert_parity(ref, out, "process+store")
-
     def test_shard_matches_serial_bitwise(self, partitions):
-        ref = identify_many(partitions, 5400.0, serial=True)
+        ref = identify_many(partitions, 5400.0, backend="serial")
         out = identify_many(partitions, 5400.0, backend="shard", max_workers=1)
         _assert_parity(ref, out, "shard")
 
@@ -101,19 +93,26 @@ class TestBackendParity:
 
     @pytest.mark.slow
     def test_shard_pool_matches_serial(self, partitions):
-        ref = identify_many(partitions, 5400.0, serial=True)
+        ref = identify_many(partitions, 5400.0, backend="serial")
         out = identify_many(partitions, 5400.0, backend="shard", max_workers=2)
         _assert_parity(ref, out, "shard@2w")
+        # no backend named but a pool asked for: the shard backend
+        report = RunReport()
+        out = identify_many(partitions, 5400.0, max_workers=2, report=report)
+        _assert_parity(ref, out, "default@2w")
+        assert report.shards
 
     def test_unknown_backend_rejected(self, partitions):
-        with pytest.raises(ValueError, match="backend"):
-            identify_many(partitions, 5400.0, backend="gpu")
+        # "process" names the deleted per-light pool backend
+        for name in ("gpu", "process"):
+            with pytest.raises(ValueError, match="'serial', 'batched', 'stream', 'shard'"):
+                identify_many(partitions, 5400.0, backend=name)
 
 
 class TestPoisonedCityParity:
     def test_poisoned_city_all_backends(self, partitions):
         city, bad_key, dead_key = _poisoned_city(partitions)
-        ref = identify_many(city, 5400.0, serial=True)
+        ref = identify_many(city, 5400.0, backend="serial")
         assert bad_key in ref[1], "corrupt partition must fail"
         assert ref[1][bad_key].error_type == "ValueError"
         assert ref[1][bad_key].stage == "samples"
@@ -128,16 +127,9 @@ class TestPoisonedCityParity:
         assert len(out_shard[0]) + len(out_shard[1]) == len(city)
 
     @pytest.mark.slow
-    def test_poisoned_city_process_pool(self, partitions):
-        city, _bad_key, _dead_key = _poisoned_city(partitions)
-        ref = identify_many(city, 5400.0, serial=True)
-        out = identify_many(city, 5400.0, backend="process", max_workers=2)
-        _assert_parity(ref, out, "process/poisoned")
-
-    @pytest.mark.slow
     def test_poisoned_city_shard_pool(self, partitions):
         city, _bad_key, _dead_key = _poisoned_city(partitions)
-        ref = identify_many(city, 5400.0, serial=True)
+        ref = identify_many(city, 5400.0, backend="serial")
         out = identify_many(city, 5400.0, backend="shard", max_workers=2)
         _assert_parity(ref, out, "shard@2w/poisoned")
 
@@ -148,7 +140,7 @@ class TestStoreReuse:
         store = PartitionStore.from_partitions(partitions)
         times = (4500.0, 5400.0, 5400.0)  # repeated spot hits the cache
         for at in times:
-            ref = identify_many(partitions, at, serial=True)
+            ref = identify_many(partitions, at, backend="serial")
             out = identify_many(store, at, backend="batched")
             _assert_parity(ref, out, f"store reuse at t={at}")
         assert len(store.cache) > 0, "repeated spots should populate the cache"
@@ -206,20 +198,18 @@ class TestAdaptiveTraceParity:
     for divergence."""
 
     def test_batched_matches_serial_bitwise(self, adaptive_city):
-        ref = identify_many(adaptive_city, 5400.0, serial=True)
+        ref = identify_many(adaptive_city, 5400.0, backend="serial")
         out = identify_many(adaptive_city, 5400.0, backend="batched")
         assert len(ref[0]) > 0, "adaptive city must identify some lights"
         _assert_parity(ref, out, "batched/adaptive")
 
     def test_shard_matches_serial_bitwise(self, adaptive_city):
-        ref = identify_many(adaptive_city, 5400.0, serial=True)
+        ref = identify_many(adaptive_city, 5400.0, backend="serial")
         out = identify_many(adaptive_city, 5400.0, backend="shard", max_workers=1)
         _assert_parity(ref, out, "shard/adaptive")
 
     @pytest.mark.slow
-    def test_process_and_shard_pools_match_serial(self, adaptive_city):
-        ref = identify_many(adaptive_city, 5400.0, serial=True)
-        out_p = identify_many(adaptive_city, 5400.0, backend="process", max_workers=2)
-        _assert_parity(ref, out_p, "process/adaptive")
-        out_s = identify_many(adaptive_city, 5400.0, backend="shard", max_workers=2)
-        _assert_parity(ref, out_s, "shard@2w/adaptive")
+    def test_shard_pool_matches_serial(self, adaptive_city):
+        ref = identify_many(adaptive_city, 5400.0, backend="serial")
+        out = identify_many(adaptive_city, 5400.0, backend="shard", max_workers=2)
+        _assert_parity(ref, out, "shard@2w/adaptive")

@@ -22,6 +22,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--hours", "0.01", "--out", "{missing}/city"],
+        ["identify", "--city", "{missing}/city", "--at", "0",
+         "--report", "{missing}/r.json"],
+        ["evaluate", "--city", "{missing}/city", "--times", "0",
+         "--report", "{missing}/r.json"],
+        ["stream", "--city", "{missing}/city", "--report", "{missing}/r.json"],
+        ["serve-bench", "--tenants", "1", "--chunks", "1", "--intersections", "1",
+         "--evaluates-per-chunk", "1", "--json", "{missing}/s.json"],
+        ["serve-bench", "--tenants", "1", "--chunks", "1", "--intersections", "1",
+         "--evaluates-per-chunk", "1", "--report", "{missing}/r.json"],
+        ["frontier", "--intersections", "1", "--alphas", "0", "--horizon", "3600",
+         "--json", "{missing}/f.json"],
+    ], ids=lambda argv: argv[0] + argv[-2])
+    def test_missing_output_directory_exits_before_work(self, argv, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(missing=missing) for arg in argv])
+        assert exc.value.code == 2
+        assert "does not exist" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def city_prefix(tmp_path_factory):
@@ -47,7 +68,7 @@ class TestPipelineCommands:
 
     def test_identify_with_truth(self, city_prefix, capsys):
         rc = main(["identify", "--city", city_prefix, "--at", "3600",
-                   "--serial"])
+                   "--backend", "serial"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "dCycle" in out  # ground truth present -> scored output
@@ -58,7 +79,7 @@ class TestPipelineCommands:
 
         path = str(tmp_path / "report.json")
         rc = main(["identify", "--city", city_prefix, "--at", "3600",
-                   "--serial", "--report", path])
+                   "--backend", "serial", "--report", path])
         assert rc == 0
         out = capsys.readouterr().out
         assert "wrote run report" in out
@@ -78,7 +99,7 @@ class TestPipelineCommands:
 class TestEvaluateCommand:
     def test_evaluate(self, city_prefix, capsys):
         rc = main(["evaluate", "--city", city_prefix, "--times", "2700", "3600",
-                   "--serial"])
+                   "--backend", "serial"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "cycle length" in out and "cycle-locked" in out

@@ -100,7 +100,7 @@ class TestCorridorReport:
         """Coordination analysis on identified schedules must agree with
         the analysis on ground truth (end-to-end sanity)."""
         from repro.core import identify_many
-        ests, _ = identify_many(partitions, 5400.0, serial=True)
+        ests, _ = identify_many(partitions, 5400.0, backend="serial")
         keys = [(0, "EW"), (1, "EW")]
         if not all(k in ests for k in keys):
             pytest.skip("sparse run: not all corridor lights identified")

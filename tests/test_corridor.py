@@ -129,6 +129,6 @@ class TestJourneyTraces:
         trace = gen.generate_journeys(res.journeys, rng=np.random.default_rng(4),
                                       taxi_fraction=1.0)
         parts = partition_by_light(match_trace(trace, res.net), res.net)
-        ests, fails = identify_many(parts, 5400.0, serial=True)
+        ests, fails = identify_many(parts, 5400.0, backend="serial")
         locked = sum(1 for e in ests.values() if abs(e.cycle_s - spec.cycle_s) <= 3.0)
         assert locked >= spec.n_lights - 1

@@ -89,7 +89,7 @@ class TestEvaluateAtTimes:
         def truth_fn(iid, app, t):
             return city.truth_at(iid, app, t)
 
-        res = evaluate_at_times(partitions, truth_fn, [3600.0, 5400.0], serial=True)
+        res = evaluate_at_times(partitions, truth_fn, [3600.0, 5400.0], backend="serial")
         assert len(res) == 2 * len(partitions)
         assert res.n_failures < len(res)
         assert res.cycle_errors.shape == (len(res),)
@@ -100,7 +100,7 @@ class TestEvaluateAtTimes:
         def truth_fn(iid, app, t):
             return city.truth_at(iid, app, t)
 
-        res = evaluate_at_times(partitions, truth_fn, [5400.0], serial=True)
+        res = evaluate_at_times(partitions, truth_fn, [5400.0], backend="serial")
         key = next(iter(sorted(partitions)))
         sub = res.for_key(key)
         assert all(s.key == key for s in sub.samples)
@@ -130,6 +130,6 @@ class TestFusedSimulatePath:
             scn, 0.0, 5400.0, seed=11, serial=True, fused=True
         )
         assert len(trace) > 1000 and len(parts) == 8
-        ests, _ = identify_many(parts, 5400.0, serial=True)
+        ests, _ = identify_many(parts, 5400.0, backend="serial")
         good = sum(1 for e in ests.values() if abs(e.cycle_s - 98.0) <= 3.0)
         assert good >= 5

@@ -52,7 +52,7 @@ class TestIdentifyManyContainment:
         key = sorted(partitions)[0]
         city = dict(partitions)
         city[key] = city[key].time_window(0.0, 4200.0)
-        ests, fails = identify_many(city, 5400.0, serial=True)
+        ests, fails = identify_many(city, 5400.0, backend="serial")
         assert len(ests) + len(fails) == len(city)
         assert key in fails
         assert fails[key].error_type == "InsufficientDataError"
@@ -67,7 +67,7 @@ class TestIdentifyManyContainment:
         )
         # Both execution modes must survive — the historical failure was
         # the ValueError escaping a pmap worker mid-chunk.
-        for kwargs in ({"serial": True}, {"max_workers": 2}):
+        for kwargs in ({"backend": "serial"}, {"max_workers": 2}):
             ests, fails = identify_many(city, 5400.0, **kwargs)
             assert key in fails
             assert fails[key].error_type == "ValueError"
@@ -79,7 +79,7 @@ class TestIdentifyManyContainment:
         dead = synth_partition(speed=0.0)
         healthy = synth_partition(seed=1, iid=1)
         city = {dead.key: dead, healthy.key: healthy}
-        ests, fails = identify_many(city, 5400.0, serial=True)
+        ests, fails = identify_many(city, 5400.0, backend="serial")
         assert len(ests) + len(fails) == 2
         assert healthy.key in ests or healthy.key in fails  # run completed
 
@@ -88,7 +88,7 @@ class TestIdentifyManyContainment:
             raise RuntimeError("injected changepoint crash")
 
         monkeypatch.setattr(pipeline_mod, "find_signal_change", boom)
-        ests, fails = identify_many(partitions, 5400.0, serial=True)
+        ests, fails = identify_many(partitions, 5400.0, backend="serial")
         assert not ests
         assert all(f.error_type == "RuntimeError" for f in fails.values())
         assert all(f.stage == "changepoint" for f in fails.values())

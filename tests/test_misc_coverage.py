@@ -87,7 +87,7 @@ class TestCliWithoutPlans:
         with open(f"{prefix}.net.json", "w", encoding="utf-8") as fp:
             save_network(scn.net, fp)  # no plans
 
-        rc = main(["identify", "--city", prefix, "--at", "3600", "--serial"])
+        rc = main(["identify", "--city", prefix, "--at", "3600", "--backend", "serial"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "dCycle" not in out

@@ -161,7 +161,7 @@ class TestRunReport:
 class TestReportFromIdentifyMany:
     def test_report_collects_stages_and_counters(self, partitions):
         report = RunReport()
-        ests, fails = identify_many(partitions, 5400.0, serial=True, report=report)
+        ests, fails = identify_many(partitions, 5400.0, backend="serial", report=report)
         assert report.n_lights == len(partitions)
         assert report.n_ok == len(ests) and report.n_failed == len(fails)
         for stage in ("samples", "stops", "cycle", "red"):
@@ -177,7 +177,7 @@ class TestReportFromIdentifyMany:
 
         report = RunReport()
         result = evaluate_at_times(
-            partitions, truth_fn, [4500.0, 5400.0], serial=True, report=report
+            partitions, truth_fn, [4500.0, 5400.0], backend="serial", report=report
         )
         assert report.runs == 2
         assert report.n_lights == 2 * len(partitions)
@@ -201,7 +201,7 @@ class TestReportFromIdentifyMany:
             assert fails[k].error_type == "ValueError"
             assert fails[k].stage == "samples"
         # The healthy lights got exactly the estimates a clean run gives.
-        clean, _ = identify_many(partitions, 5400.0, serial=True)
+        clean, _ = identify_many(partitions, 5400.0, backend="serial")
         for k in clean:
             if k not in bad:
                 assert k in ests

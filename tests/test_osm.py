@@ -138,7 +138,7 @@ class TestOsmEndToEnd:
         assert len(trace) > 500
 
         parts = partition_by_light(match_trace(trace, net), net)
-        ests, _ = identify_many(parts, 5400.0, serial=True)
+        ests, _ = identify_many(parts, 5400.0, backend="serial")
         assert ests, "at least one approach group must identify"
         locked = [e for e in ests.values() if abs(e.cycle_s - 98.0) <= 3.0]
         assert locked, "the OSM crossroad's cycle must be recoverable"

@@ -46,7 +46,7 @@ class TestCorruptedTraces:
         matched = match_trace(dirty, city.net)
         parts = partition_by_light(matched, city.net)
         assert parts, "partitions must survive corruption"
-        ests, fails = identify_many(parts, 5400.0, serial=True)
+        ests, fails = identify_many(parts, 5400.0, backend="serial")
         assert ests, "identification must survive corruption"
         # accuracy should degrade gracefully, not collapse
         good = sum(1 for e in ests.values() if abs(e.cycle_s - 98.0) <= 3.0)
@@ -124,6 +124,6 @@ class TestClockAnomalies:
         k = len(warped) // 100
         warped.t[:k] += 1e7  # a batch of far-future records
         parts = partition_by_light(match_trace(warped, city.net), city.net)
-        ests, _ = identify_many(parts, 5400.0, serial=True)
+        ests, _ = identify_many(parts, 5400.0, backend="serial")
         good = sum(1 for e in ests.values() if abs(e.cycle_s - 98.0) <= 3.0)
         assert good >= len(ests) // 2

@@ -47,7 +47,7 @@ class TestShardParity:
 
     def test_poisoned_city_parity_and_containment(self, partitions):
         city, bad_key, _dead_key = _poisoned_city(partitions)
-        ref = identify_many(city, 5400.0, serial=True)
+        ref = identify_many(city, 5400.0, backend="serial")
         out = identify_many(city, 5400.0, backend="shard", max_workers=1)
         _assert_parity(ref, out, "shard/poisoned")
         assert out[1][bad_key].error_type == "ValueError"
